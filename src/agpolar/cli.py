@@ -38,7 +38,9 @@ def _parse_field(spec: str):
     return field_new(int(parts["p"]), int(parts["r"]))
 
 
-def _parse_curve(spec: str, field):
+def _parse_curve(spec, field):
+    if spec is None:
+        raise argparse.ArgumentTypeError("missing --curve")
     if spec == "rational":
         return rational_curve(field)
     if spec == "hermitian":
@@ -110,7 +112,7 @@ def _table_lines(obj, indent=""):
 def _emit(report: dict, args) -> int:
     report = _round6(report)
     if args.format == "json":
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report, indent=2, allow_nan=False)
     else:
         text = "\n".join(_table_lines(report))
     if args.out:
@@ -126,15 +128,15 @@ def _emit(report: dict, args) -> int:
 
 def _kernel_for(args):
     field = _parse_field(args.field)
-    if getattr(args, "kron", None):
-        names = args.kron.split(",")
-        if len(names) != 2:
-            raise argparse.ArgumentTypeError("--kron takes two curve names")
-        k1 = kn.build_kernel(_parse_curve(names[0], field))
-        k2 = kn.build_kernel(_parse_curve(names[1], field))
-        return field, None, (k1, k2)
     curve = _parse_curve(args.curve, field)
     return field, curve, kn.build_kernel(curve)
+
+
+def _kron_factors(args, field):
+    names = args.kron.split(",")
+    if len(names) != 2:
+        raise argparse.ArgumentTypeError("--kron takes two curve names")
+    return [kn.build_kernel(_parse_curve(name, field)) for name in names]
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -148,9 +150,7 @@ def _cmd_kernel(args):
 def _cmd_exponent(args):
     field = _parse_field(args.field)
     if args.kron:
-        names = args.kron.split(",")
-        k1 = kn.build_kernel(_parse_curve(names[0], field))
-        k2 = kn.build_kernel(_parse_curve(names[1], field))
+        k1, k2 = _kron_factors(args, field)
         return {
             "exponent": kn.kron_exponent(k1, k2),
             "method": "closed-form composition",
@@ -198,12 +198,7 @@ def _cmd_shorten(args):
 
 
 def _cmd_kron(args):
-    field = _parse_field(args.field)
-    names = args.kron.split(",")
-    if len(names) != 2:
-        raise argparse.ArgumentTypeError("--kron takes two curve names")
-    k1 = kn.build_kernel(_parse_curve(names[0], field))
-    k2 = kn.build_kernel(_parse_curve(names[1], field))
+    k1, k2 = _kron_factors(args, _parse_field(args.field))
     prod = kn.kron(k1, k2)
     return {"kernel": prod.serialize(), "exponent": kn.kron_exponent(k1, k2)}
 
@@ -457,13 +452,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         report = args.fn(args)
+        code = _emit(report, args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (AgpolarError, argparse.ArgumentTypeError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code = _emit(report, args)
     if args.cmd == "verify" and report.get("failed"):
         return 1
     return code

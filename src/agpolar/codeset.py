@@ -241,12 +241,13 @@ def brute_min_distance(field, gen: np.ndarray) -> int:
     return int(nz.min()) if nz.size else 0
 
 
+# Keyed on curve content: field, points and basis fix the code's rows.
 _AG_DIST_CACHE: dict = {}
 
 
 def ag_min_distance(curve: PointedCurve, m: int) -> int:
     """Exact minimum distance of C(D, mQ) by codeword enumeration."""
-    key = (id(curve), m)
+    key = (curve.field, tuple(curve.points), tuple(curve.basis), tuple(curve.hstar), m)
     if key in _AG_DIST_CACHE:
         return _AG_DIST_CACHE[key]
     dim = sum(1 for h in curve.hstar if h <= m)

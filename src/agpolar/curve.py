@@ -113,9 +113,6 @@ class PointedCurve:
     def gen_poles(self):
         return tuple(a for _, a in self.gens)
 
-    def monomial_name(self, i: int) -> str:
-        return self.basis[i].name(self.gen_names)
-
     def evaluation_matrix(self):
         """l x l matrix, row i = basis[i] evaluated at all points (indices)."""
         out = np.zeros((self.l, self.l), dtype=np.int32)

@@ -329,18 +329,6 @@ class FiniteField:
             return 0 if e else 1
         return 1 + ((a - 1) * e) % (self.q - 1)
 
-    # -- vectorized arithmetic on numpy index arrays -------------------
-
-    def vadd(self, a, b):
-        if self.add_table is None:
-            raise ValueError("dense tables unavailable for this field order")
-        return self.add_table[a, b]
-
-    def vmul(self, a, b):
-        if self.mul_table is None:
-            raise ValueError("dense tables unavailable for this field order")
-        return self.mul_table[a, b]
-
     # -- elements ------------------------------------------------------
 
     def element(self, index: int) -> FieldElement:

@@ -10,6 +10,7 @@ provenance expression is kept for reproducible reports.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .galois import FiniteField, subfield_generated
 
 # Per-row coset enumeration cap for exact partial distances.
 _COSET_CAP = 1 << 24
+# Cap on the trellis edges enumerated before pruning (q per state and
+# step), over all positions; Reed-Solomon GF(9) needs 1.13M.
+_EDGE_CAP = 1 << 21
 
 
 class Kernel:
@@ -39,6 +43,11 @@ class Kernel:
         self.col_points = list(col_points) if col_points is not None else None
         if not linalg.is_nonsingular(field, self.matrix):
             raise SingularKernel(f"{provenance}: matrix is singular")
+
+    @cached_property
+    def trellis(self) -> "KernelTrellis":
+        """The marginalization trellis, built on first use."""
+        return KernelTrellis(self)
 
     def label_names(self):
         return [str(lbl) for lbl in self.row_labels]
@@ -67,10 +76,6 @@ class RowLabel:
         # parallel tuples: one (Monomial, names) pair per tensor factor
         self.monomials = tuple(monomials)
         self.gen_names = tuple(gen_names)
-
-    @property
-    def pole_orders(self):
-        return tuple(m.pole_order for m in self.monomials)
 
     def __str__(self):
         parts = [m.name(names) for m, names in zip(self.monomials, self.gen_names)]
@@ -113,6 +118,59 @@ def kernel_from_matrix(field, matrix, labels=None, provenance="explicit") -> Ker
 def arikan_kernel(field) -> Kernel:
     """[[1,0],[1,1]] viewed over the given field."""
     return kernel_from_matrix(field, [[1, 0], [1, 1]], ["g1", "1"], "arikan")
+
+
+# -- syndrome trellis ---------------------------------------------------
+
+
+class KernelTrellis:
+    """Syndrome trellises of the nested suffix codes span(G_{j+1..l}).
+
+    For inner position j the state after t codeword symbols is
+    x_{<t} G^{-1}[:, :j+1]; a codeword ends in state (0, ..., 0, a)
+    exactly when u_0..u_{j-1} are zero and u_j = a.  Only states that are
+    reachable and can still reach such a target are kept.  States and
+    edges form subspaces, so every state has in-degree 1, or q with one
+    edge per symbol.  steps[j][t] = (src, sym) are (states after step t,
+    in-degree) arrays of the source state and codeword symbol of each
+    edge into each state, by ascending symbol; final states ascend in a.
+    edges and width count the kept edges, in all and at the widest step.
+    """
+
+    def __init__(self, k: Kernel):
+        field, q, l = k.field, k.field.q, k.l
+        ech, _ = linalg.row_echelon(field, np.hstack([k.matrix, np.eye(l, dtype=np.int32)]))
+        ginv = ech[:, l:]
+        # The states of position j after t symbols number q^d with
+        # d = rank(ginv[:t, :j+1]) + rank(ginv[t:, :j]) - j; a rank of the
+        # first c columns counts the echelon pivots left of column c.
+        head = [linalg.row_echelon(field, ginv[:t])[1] for t in range(l)]
+        tail = [linalg.row_echelon(field, ginv[t:])[1] for t in range(l)]
+        branches = q * sum(
+            q ** (sum(p <= j for p in head[t]) + sum(p < j for p in tail[t]) - j)
+            for j in range(l)
+            for t in range(l)
+        )
+        if branches > _EDGE_CAP:
+            raise TooLarge(f"kernel trellis needs {branches} edges, over the {_EDGE_CAP} cap")
+        self.steps, self.edges, self.width = [], 0, 1
+        for j in range(l):
+            h = ginv[:, : j + 1]
+            target = np.eye(j + 1, dtype=np.int32)[j : j + 1]
+            states = np.zeros((1, j + 1), dtype=np.int32)
+            steps = []
+            for t in range(l):
+                cand = field.add_table[states[:, None, :], field.mul_table[:, h[t]]]
+                cand = cand.reshape(-1, j + 1)
+                # states that can still reach a target: span(h[t+1:], target)
+                checks = linalg.nullspace(field, np.vstack([h[t + 1 :], target]))
+                keep = np.flatnonzero(~linalg.mat_mul(field, cand, checks.T).any(axis=1))
+                states, dst = np.unique(cand[keep], axis=0, return_inverse=True)
+                edge = keep[np.argsort(dst.reshape(-1) * q + keep % q)].reshape(len(states), -1)
+                steps.append((edge // q, edge % q))
+                self.edges += edge.size
+                self.width = max(self.width, edge.size)
+            self.steps.append(steps)
 
 
 # -- span enumeration ---------------------------------------------------
@@ -295,18 +353,21 @@ def castle_sequence(curve: PointedCurve, steps=None):
     return out
 
 
+def kron_matrix(field: FiniteField, a, b) -> np.ndarray:
+    """Kronecker product of two index matrices: entry (i1 i2, j1 j2) is
+    a[i1, j1] * b[i2, j2]."""
+    a, b = np.asarray(a), np.asarray(b)
+    prod = field.mul_table[a[:, None, :, None], b[None, :, None, :]]
+    return prod.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def kron(k1: Kernel, k2: Kernel) -> Kernel:
     """Kronecker product kernel; row labels are pair monomials."""
     if k1.field != k2.field:
         raise FieldMismatch("kernels over different fields")
     field = k1.field
     l1, l2 = k1.l, k2.l
-    out = np.zeros((l1 * l2, l1 * l2), dtype=np.int32)
-    for i in range(l1 * l2):
-        for j in range(l1 * l2):
-            out[i, j] = field.mul(
-                int(k1.matrix[i // l2, j // l2]), int(k2.matrix[i % l2, j % l2])
-            )
+    out = kron_matrix(field, k1.matrix, k2.matrix)
     labels = []
     for i in range(l1 * l2):
         la, lb = k1.row_labels[i // l2], k2.row_labels[i % l2]

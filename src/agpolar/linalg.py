@@ -87,17 +87,3 @@ def is_nonsingular(field: FiniteField, m) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and rank(field, m) == m.shape[0]
 
-
-def solve(field: FiniteField, a, b):
-    """One solution x of a x^T = b^T, or None if inconsistent."""
-    a = np.asarray(a, dtype=np.int32)
-    b = np.asarray(b, dtype=np.int32).reshape(-1)
-    aug = np.hstack([a, b[:, None]])
-    ech, pivots = row_echelon(field, aug)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int32)
-    for r, c in enumerate(pivots):
-        x[c] = ech[r, cols]
-    return x

@@ -9,7 +9,6 @@ the literature is; u-vectors are 0-based numpy arrays.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +16,10 @@ import numpy as np
 from . import linalg
 from .channel import DMC, sof_witnesses
 from .errors import LengthMismatch, NotSymmetric, OutOfRange, PreconditionViolated, TooLarge
-from .kernel import Kernel
+from .kernel import Kernel, kron_matrix
 
 _BN_CAP = 1 << 20
 _GN_CAP = 1024
-_STAGE_CAP = 1 << 16
 
 
 # -- multi-indices ------------------------------------------------------
@@ -65,6 +63,11 @@ class MultiIndex:
         return self.l**self.n - self.value
 
 
+def _check_levels(n: int):
+    if n < 0:
+        raise OutOfRange(f"n must be >= 0, got {n}")
+
+
 def multiindex_weight(mi: MultiIndex, hstar) -> int:
     return sum(hstar[d] for d in mi.digits)
 
@@ -94,18 +97,9 @@ def gn_matrix(k: Kernel, n: int) -> np.ndarray:
     total = k.l**n
     if total > _GN_CAP:
         raise TooLarge(f"l^n = {total} exceeds materialization cap")
-    field = k.field
     m = np.array([[1]], dtype=np.int32)
     for _ in range(n):
-        # Kronecker step over field indices
-        l1 = m.shape[0]
-        out = np.zeros((l1 * k.l, l1 * k.l), dtype=np.int32)
-        for i in range(l1 * k.l):
-            for j in range(l1 * k.l):
-                out[i, j] = field.mul(
-                    int(m[i // k.l, j // k.l]), int(k.matrix[i % k.l, j % k.l])
-                )
-        m = out
+        m = kron_matrix(k.field, m, k.matrix)
     perm = bn_permutation(k.l, n) if n >= 1 else np.array([0])
     return m[perm]
 
@@ -156,75 +150,91 @@ def _encode_rec(k: Kernel, n: int, u: np.ndarray) -> np.ndarray:
     )
 
 
+# -- kernel marginalization ---------------------------------------------
+
+# Bytes of one gathered (states, in-degree, rows) array of the forward
+# pass; chunks this small stay in cache.
+_CHUNK_BYTES = 1 << 18
+
+
+def kernel_likelihoods(k: Kernel, like: np.ndarray, j: int) -> np.ndarray:
+    """Likelihoods of every value of u_j when u_0..u_{j-1} are zero.
+
+    like: (l, q, rows) likelihoods of each codeword symbol.  Returns
+    (q, rows): the sum over u_{j+1..} of prod_t like[t, (u G)_t], by a
+    forward pass over the kernel's syndrome trellis.  For decided inputs
+    other than zero, shift each symbol's likelihoods by their codeword
+    first.  Rows come last, so that every gather copies whole runs.
+    """
+    trellis = k.trellis
+    rows = like.shape[2]
+    chunk = max(1, _CHUNK_BYTES // (8 * trellis.width))
+    out = np.empty((k.field.q, rows))
+    for lo in range(0, rows, chunk):
+        part = like[:, :, lo : lo + chunk]
+        alpha = np.ones((1, 1))  # the start state, broadcast over rows
+        for t, (src, sym) in enumerate(trellis.steps[j]):
+            if src.shape[1] == 1:
+                alpha = alpha[src[:, 0]] * part[t][sym[:, 0]]
+            else:  # q edges into each state, symbols 0..q-1
+                alpha = np.einsum("sdr,dr->sr", alpha[src], part[t])
+        out[:, lo : lo + chunk] = alpha
+    return out
+
+
 # -- successive cancellation --------------------------------------------
 
 
 class _SCNode:
     """One SC recursion level, vectorized over a batch of received words.
 
-    Consumes per-sample decisions and yields per-sample likelihood
-    vectors.  Likelihoods are normalized at every level; SC decisions
-    are invariant under per-node positive scaling, and normalization
-    keeps the l-fold products representable at deeper recursion levels.
+    Consumes per-sample decisions and yields (q, samples) likelihoods.
+    Likelihoods are normalized at every level; SC decisions are
+    invariant under per-node positive scaling, and normalization keeps
+    the l-fold products representable at deeper recursion levels.
     """
 
-    def __init__(self, k: Kernel, level: int, y, w: DMC, onehot):
+    def __init__(self, k: Kernel, level: int, y, w: DMC):
         self.k = k
         self.level = level
-        self.onehot = onehot
         if level == 0:
-            like = w.trans[:, y[:, 0]].T.astype(float)  # (s, q)
-            self.like = like / np.maximum(like.sum(axis=1, keepdims=True), 1e-300)
+            like = w.trans[:, y[:, 0]].astype(float)  # (q, s)
+            self.like = like / np.maximum(like.sum(axis=0), 1e-300)
         else:
             block = y.shape[1] // k.l
             self.children = [
-                _SCNode(k, level - 1, y[:, t * block : (t + 1) * block], w, onehot)
+                _SCNode(k, level - 1, y[:, t * block : (t + 1) * block], w)
                 for t in range(k.l)
             ]
-            self.stack = None
-            self.decisions = []
+            self.kids = np.empty((k.l, k.field.q, y.shape[0]))
+            self.grid = (np.arange(k.l)[:, None, None], np.arange(y.shape[0]))  # (t, row)
+            self.j = 0  # inner position within the current kernel application
 
     def next_likelihood(self) -> np.ndarray:
         if self.level == 0:
             return self.like
-        k = self.k
-        q, l = k.field.q, k.l
-        if self.stack is None:
-            kid = [c.next_likelihood() for c in self.children]  # each (s, q)
-            s = kid[0].shape[0]
-            logk = np.empty((s, l * q))
-            for t in range(l):
-                np.log(np.maximum(kid[t], 1e-300), out=logk[:, t * q : (t + 1) * q])
-            np.maximum(logk, -700.0, out=logk)
-            with np.errstate(under="ignore"):
-                wt = (logk @ self.onehot.T.astype(float)).astype(np.float32)
-                np.exp(wt, out=wt)  # (s, q^l)
-            # partial suffix sums: stack[j] has axes (s, u_1 .. u_j)
-            self.stack = [None] * (l + 1)
-            self.stack[l] = wt.reshape((s,) + (q,) * l)
-            for j in range(l - 1, 0, -1):
-                self.stack[j] = self.stack[j + 1].sum(axis=-1)
-            self.decisions = []
-        j = len(self.decisions)  # 0-based inner position
-        arr = self.stack[j + 1]
-        s = arr.shape[0]
-        out = arr[(np.arange(s),) + tuple(self.decisions)].astype(float)  # (s, q)
-        return out / np.maximum(out.sum(axis=1, keepdims=True), 1e-300)
+        if self.j == 0:
+            for t, c in enumerate(self.children):
+                self.kids[t] = c.next_likelihood()
+            like = self.kids
+        else:
+            # shift each symbol's likelihoods by the decided prefix codeword
+            shift = self.k.field.add_table[self.prefix].transpose(0, 2, 1)
+            like = self.kids[self.grid[0], shift, self.grid[1]]
+        out = kernel_likelihoods(self.k, like, self.j)
+        return out / np.maximum(out.sum(axis=0), 1e-300)
 
     def push_decision(self, v: np.ndarray):
         if self.level == 0:
             return
-        self.decisions.append(np.asarray(v, dtype=np.int32))
-        if len(self.decisions) == self.k.l:
-            field = self.k.field
-            x = np.zeros((len(v), self.k.l), dtype=np.int32)
-            for r, d in enumerate(self.decisions):
-                x = field.add_table[
-                    x, field.mul_table[d[:, None], self.k.matrix[r][None, :]]
-                ]
+        field = self.k.field
+        step = field.mul_table[self.k.matrix[self.j][:, None], v]  # (l, s)
+        self.prefix = step if self.j == 0 else field.add_table[self.prefix, step]
+        self.j += 1
+        if self.j == self.k.l:
             for t, c in enumerate(self.children):
-                c.push_decision(x[:, t])
-            self.stack = None
+                c.push_decision(self.prefix[t])
+            self.j = 0
 
 
 def decode_sc_batch(k: Kernel, n: int, w: DMC, y: np.ndarray, frozen) -> np.ndarray:
@@ -234,22 +244,20 @@ def decode_sc_batch(k: Kernel, n: int, w: DMC, y: np.ndarray, frozen) -> np.ndar
     per position).  Free positions take the likelihood argmax, ties
     going to the canonically smaller element.
     """
-    if k.field.q**k.l > _STAGE_CAP:
-        raise TooLarge("q^l exceeds SC stage cap")
     y = np.asarray(y)
     total = k.l**n
     if y.ndim != 2 or y.shape[1] != total:
         raise LengthMismatch(f"expected received shape (*, {total})")
     s = y.shape[0]
     frozen = {int(p): int(v) for p, v in frozen.items()}
-    root = _SCNode(k, n, y, w, _genie_tables(k, w))
+    root = _SCNode(k, n, y, w)
     u_hat = np.zeros((s, total), dtype=np.int32)
     for pos in range(total):
         like = root.next_likelihood()
         if pos in frozen:
             u_hat[:, pos] = frozen[pos]
         else:
-            u_hat[:, pos] = np.argmax(like, axis=1)  # first maximum wins ties
+            u_hat[:, pos] = np.argmax(like, axis=0)  # first maximum wins ties
         root.push_decision(u_hat[:, pos])
     return u_hat
 
@@ -294,65 +302,27 @@ class ZEstimates:
         }
 
 
-def _genie_tables(k: Kernel, w: DMC):
-    """Codewords of every input vector, one-hot encoded for the matmul.
+def _genie_likelihoods(k: Kernel, w: DMC, y: np.ndarray) -> np.ndarray:
+    """Likelihoods at all channel positions under all-zero genie decisions.
 
-    Returns a (q^l, l*q) float32 0/1 matrix C with C[u, t*q + x] = 1 iff
-    symbol t of the codeword of u equals x.
-    """
-    field, q, l = k.field, k.field.q, k.l
-    us = np.array(list(itertools.product(range(q), repeat=l)), dtype=np.int64)
-    cw = np.zeros((q**l, l), dtype=np.int64)
-    for r in range(l):
-        cw = field.add_table[cw, field.mul_table[us[:, r][:, None], k.matrix[r][None, :]]]
-    onehot = np.zeros((q**l, l * q), dtype=np.float32)
-    rows = np.arange(q**l)
-    for t in range(l):
-        onehot[rows, t * q + cw[:, t]] = 1.0
-    return onehot
-
-
-def _genie_level(k: Kernel, w: DMC, y: np.ndarray, level: int, cw) -> np.ndarray:
-    """Likelihood vectors for all channel positions of one level.
-
-    y: (S, l^level) outputs.  Returns (S, l^level, q), position axis in
-    channel order (position i-1), under all-zero genie decisions.
+    y: (S, l^n) outputs.  Returns (l^n, q, S) in channel order.  Each
+    level runs all its kernel applications in one batch: node m combines
+    child nodes m*l + t, and its position i*l + j is inner position j of
+    the application on the children's position i.
     """
     q, l = k.field.q, k.l
-    s = y.shape[0]
-    if level == 0:
-        return w.trans[:, y[:, 0]].T.reshape(s, 1, q)
-    block = y.shape[1] // l
-    kids = [
-        _genie_level(k, w, y[:, t * block : (t + 1) * block], level - 1, cw)
-        for t in range(l)
-    ]
-    n_out = l**level
-    out = np.empty((s, n_out, q))
-    logk = np.empty((s, l * q), dtype=np.float32)
-    for i in range(l ** (level - 1)):
-        # weight of every u-vector: prod over copies t of kid_t likelihoods
-        # at the codeword symbols, via a log-space one-hot matmul
-        for t in range(l):
-            np.log(
-                np.maximum(kids[t][:, i, :], 1e-300), out=logk[:, t * q : (t + 1) * q]
-            )
-        np.maximum(logk, -700.0, out=logk)
-        with np.errstate(under="ignore"):
-            wt = np.exp(logk @ cw.T)  # (s, q^l)
-        cube = wt.reshape((s,) + (q,) * l)
-        arr = cube
-        for j in range(l, 0, -1):
-            # arr has axes (s, u_1..u_j); genie prefix is all zeros
-            sel = arr[(slice(None),) + (0,) * (j - 1) + (slice(None),)]
-            out[:, i * l + (j - 1), :] = sel
-            arr = arr.sum(axis=-1)
-        # positions within the group were filled j descending; reorder
-        # is unnecessary: inner position j-1 is channel (i*l + j) - 1
-    # normalize per position: likelihood ratios are scale-invariant and
-    # deeper levels stay representable
-    out /= np.maximum(out.max(axis=2, keepdims=True), 1e-300)
-    return out
+    s, total = y.shape
+    like = w.trans[:, y].transpose(2, 0, 1)  # (l^n, q, S)
+    width = 1  # positions per child node
+    while width < total:
+        kids = like.reshape(-1, l, width, q, s).transpose(1, 3, 0, 2, 4).reshape(l, q, -1)
+        out = np.stack([kernel_likelihoods(k, kids, j) for j in range(l)])
+        like = out.reshape(l, q, -1, width, s).transpose(2, 3, 0, 1, 4).reshape(total, q, s)
+        # normalize per position: likelihood ratios are scale-invariant and
+        # deeper levels stay representable
+        like /= np.maximum(like.max(axis=1, keepdims=True), 1e-300)
+        width *= l
+    return like
 
 
 def mc_estimate_z(k: Kernel, n: int, w: DMC, samples: int, seed: int,
@@ -363,29 +333,27 @@ def mc_estimate_z(k: Kernel, n: int, w: DMC, samples: int, seed: int,
     Deterministic given (seed, samples, batch); the batch size only
     perturbs floating-point summation order.
     """
-    if k.field.q**k.l > _STAGE_CAP:
-        raise TooLarge("q^l exceeds the marginalization cap")
+    _check_levels(n)
+    if samples < 1:
+        raise OutOfRange(f"samples must be >= 1, got {samples}")
     if sof_witnesses(w) is None:
         raise NotSymmetric("channel carries no SOF witness")
     q = k.field.q
     total = k.l**n
     rng = np.random.default_rng(seed)
-    cw = _genie_tables(k, w)
     # all outputs drawn upfront so the batch size cannot affect results
     y_all = rng.choice(w.num_outputs, size=(samples, total), p=w.trans[0])
     sums = np.zeros(total)
     sqs = np.zeros(total)
     for start in range(0, samples, batch):
         y = y_all[start : start + batch]
-        likes = _genie_level(k, w, y, n, cw)  # (b, total, q)
-        l0 = likes[:, :, 0]
+        likes = _genie_likelihoods(k, w, y)  # (total, q, b)
+        l0 = likes[:, :1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                l0[:, :, None] > 0, likes / np.maximum(l0[:, :, None], 1e-300), 1.0
-            )
-        z = np.sqrt(ratios[:, :, 1:]).sum(axis=2) / (q - 1)
-        sums += z.sum(axis=0)
-        sqs += (z**2).sum(axis=0)
+            ratios = np.where(l0 > 0, likes[:, 1:] / np.maximum(l0, 1e-300), 1.0)
+        z = np.sqrt(ratios).sum(axis=1) / (q - 1)
+        sums += z.sum(axis=1)
+        sqs += (z**2).sum(axis=1)
     mean = sums / samples
     var = np.maximum(sqs / samples - mean**2, 0.0)
     se = np.sqrt(var / samples)
@@ -432,6 +400,7 @@ def theoretical_order(k: Kernel, curve, n: int) -> dict:
     divisibility (both under the pole-order < l guard) and moving a
     digit's monomial to a free lower variable position.
     """
+    _check_levels(n)
     if curve.l < 2 * curve.genus:
         raise PreconditionViolated("requires l >= 2g")
     l = curve.l
@@ -497,6 +466,9 @@ def transmit(w: DMC, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def simulate_bler(k: Kernel, n: int, w: DMC, info_positions, trials: int, seed: int,
                   batch: int = 64) -> float:
     """Block error rate of SC decoding with frozen-to-zero convention."""
+    _check_levels(n)
+    if trials < 1:
+        raise OutOfRange(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     total = k.l**n
     info = sorted(int(p) for p in info_positions)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from agpolar.cli import build_parser, main
+from agpolar.cli import _emit, build_parser, main
 
 HERMITIAN_TABLE = [
     [0, 0, 2, 3, 2, 3, 2, 3],
@@ -174,3 +174,39 @@ def test_help_everywhere(capsys):
             parser.parse_args([cmd, "--help"])
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+CHAN = ["--channel", "qsc:0.1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,why",
+    [
+        (["kernel", "--field", "p=2,r=2"], "--curve"),
+        (["exponent", "--field", "p=2,r=2"], "--curve"),
+        (["order", "--field", "p=2,r=2"], "--curve"),
+        (["polarize", "--field", "p=2,r=2"] + CHAN, "--curve"),
+        (["exponent", "--kron", "hermitian", "--field", "p=2,r=2"], "--kron"),
+        (["polarize", "--n", "-1"] + CHAN + RAT, "n must be >= 0"),
+        (["order", "--n", "-1"] + HERM, "n must be >= 0"),
+        (["simulate", "--n", "-1", "--dim", "1"] + CHAN + RAT, "n must be >= 0"),
+        (["polarize", "--samples", "0"] + CHAN + RAT, "samples must be >= 1"),
+        (["select", "--samples", "0", "--dim", "1"] + CHAN + RAT, "samples must be >= 1"),
+        (["simulate", "--samples", "100", "--trials", "0", "--dim", "1"] + CHAN + RAT,
+         "trials must be >= 1"),
+    ],
+    ids=["kernel-no-curve", "exponent-no-curve", "order-no-curve", "polarize-no-curve",
+         "exponent-one-kron", "polarize-n", "order-n", "simulate-n", "polarize-samples",
+         "select-samples", "simulate-trials"],
+)
+def test_bad_input_one_line(argv, why, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+
+
+def test_emit_rejects_nan(capsys):
+    args = build_parser().parse_args(["verify"])
+    with pytest.raises(ValueError):
+        _emit({"bler": float("nan")}, args)

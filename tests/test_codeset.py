@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agpolar import linalg
+from agpolar import codeset, linalg
 from agpolar.codeset import (
     MonomialIndexSet,
     ag_min_distance,
@@ -17,7 +17,7 @@ from agpolar.codeset import (
     isometry_vector,
     min_distance_bound,
 )
-from agpolar.curve import custom_curve, rational_curve
+from agpolar.curve import custom_curve, hermitian_curve, rational_curve
 from agpolar.errors import NotDecreasing, OutOfRange, PreconditionViolated, TooLarge
 from agpolar.galois import field_new
 from agpolar.polarization import gn_matrix
@@ -193,6 +193,16 @@ def test_ag_min_distance_table(herm4):
     assert ag_min_distance(herm4, 8) == 2  # same code as m = 7
     with pytest.raises(OutOfRange):
         ag_min_distance(herm4, -1)
+
+
+def test_ag_min_distance_cache_keyed_on_content(gf4, monkeypatch):
+    # a freed curve's id can be reused by the next one; make all ids collide
+    monkeypatch.setattr(codeset, "id", lambda obj: 0, raising=False)
+    codeset._AG_DIST_CACHE.clear()
+    for _ in range(2):
+        assert ag_min_distance(rational_curve(gf4), 0) == 4
+        assert ag_min_distance(hermitian_curve(gf4), 0) == 8
+    assert len(codeset._AG_DIST_CACHE) == 2
 
 
 def test_min_distance_bound_paper_sets(kh, herm4):
